@@ -225,8 +225,9 @@ impl MultiCoreSystem {
         }
         // lint: allow(det/thread-spawn) — baton-scheduled: CoScheduler admits
         // exactly one runnable core at a time (run-ahead mode only overlaps
-        // memory-free compute), so interleaving is a pure function of
-        // simulated cycle counts, not OS scheduling.
+        // memory-free compute) and wakes only the core it hands the baton
+        // to, so interleaving is a pure function of simulated cycle counts,
+        // not OS scheduling.
         std::thread::scope(|scope| {
             for (i, (core, workload)) in self.cores.iter_mut().zip(workloads.iter_mut()).enumerate()
             {

@@ -225,3 +225,84 @@ fn successive_coruns_report_windows_not_lifetimes() {
         "windowed requestor stats partition the windowed total"
     );
 }
+
+/// A workload that panics mid co-run must not strand the other cores: its
+/// thread still hands the baton on, the parked core is woken and runs to
+/// completion, and the panic comes back out of `co_run`.
+#[test]
+fn workload_panic_wakes_the_parked_core_and_propagates() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    /// Dependent-free loads over fresh lines, counting progress.
+    struct Loader {
+        loads: u64,
+        progress: Arc<AtomicU64>,
+    }
+    impl Workload for Loader {
+        fn name(&self) -> &str {
+            "loader"
+        }
+        fn run(&mut self, cpu: &mut dyn CpuApi) {
+            let a = cpu.alloc(self.loads * 64, 64);
+            for i in 0..self.loads {
+                cpu.load_u64(a + i * 64);
+                self.progress.store(i + 1, Ordering::SeqCst);
+            }
+        }
+    }
+    /// Panics after a few memory operations, noting how far core 0 got.
+    struct Crasher {
+        seen: Arc<AtomicU64>,
+        victim: Arc<AtomicU64>,
+    }
+    impl Workload for Crasher {
+        fn name(&self) -> &str {
+            "crasher"
+        }
+        fn run(&mut self, cpu: &mut dyn CpuApi) {
+            let a = cpu.alloc(4 * 64, 64);
+            for i in 0..4 {
+                cpu.load_u64(a + i * 64);
+            }
+            self.seen
+                .store(self.victim.load(Ordering::SeqCst), Ordering::SeqCst);
+            panic!("crasher workload failed on purpose");
+        }
+    }
+
+    const LOADS: u64 = 512;
+    let progress = Arc::new(AtomicU64::new(0));
+    let seen = Arc::new(AtomicU64::new(0));
+    let (tx, rx) = mpsc::channel();
+    let (p, s) = (Arc::clone(&progress), Arc::clone(&seen));
+    // Run the co-run off the test thread, so a lost wake-up fails the test
+    // at the timeout instead of hanging it.
+    std::thread::spawn(move || {
+        let mut sys = MultiCoreSystem::new(cfg(1), 2);
+        let mut loader = Loader {
+            loads: LOADS,
+            progress: Arc::clone(&p),
+        };
+        let mut crasher = Crasher { seen: s, victim: p };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.co_run(&mut [&mut loader, &mut crasher]);
+        }));
+        tx.send(outcome.is_err()).unwrap();
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("co_run deadlocked after a workload panic");
+    assert!(panicked, "the workload panic propagates out of co_run");
+    let at_panic = seen.load(Ordering::SeqCst);
+    assert!(
+        (1..LOADS).contains(&at_panic),
+        "core 0 was mid-run (parked) when core 1 panicked: {at_panic} of {LOADS} loads"
+    );
+    assert_eq!(
+        progress.load(Ordering::SeqCst),
+        LOADS,
+        "core 0 resumed and ran to completion"
+    );
+}

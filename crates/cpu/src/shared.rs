@@ -18,7 +18,9 @@
 //! decision depends only on emulated cycle counts — never on host timing —
 //! a co-run is byte-identical across repetitions.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 
 use crate::backend::{LineFetch, MemoryBackend, RowCloneRequestResult};
 use crate::LINE_BYTES;
@@ -27,8 +29,9 @@ struct CoState {
     /// Last emulated cycle each core reported at a checkpoint.
     now: Vec<u64>,
     finished: Vec<bool>,
-    /// The core currently holding the execution baton.
-    turn: usize,
+    /// Each core's thread, registered by [`CoScheduler::start`]; a core
+    /// handed the baton before it registers finds its turn when it does.
+    threads: Vec<Option<Thread>>,
     /// Optional baton-handoff log (observability), `None` unless
     /// [`CoScheduler::enable_switch_log`] was called.
     switch_log: Option<SwitchLog>,
@@ -84,9 +87,18 @@ impl SwitchLog {
 /// exactly the windows the baton order leaves free (the cores' initial and
 /// memory-free segments) and falls back to strict baton order everywhere
 /// else, keeping co-runs byte-identical at every thread count.
+///
+/// # Hand-off
+///
+/// A hand-off is one targeted wake-up: the yielding core moves `turn`
+/// under the state lock, drops the lock, then unparks only the next core,
+/// which parks until `turn` names it. Waiters never spin: a co-run may be
+/// pinned to one CPU, and the baton holder needs it.
 pub struct CoScheduler {
     state: Mutex<CoState>,
-    turns: Condvar,
+    /// The core currently holding the execution baton. Written only under
+    /// the `state` lock; parked waiters read it without the lock.
+    turn: AtomicUsize,
     quantum: u64,
     run_ahead: bool,
 }
@@ -118,43 +130,69 @@ impl CoScheduler {
             state: Mutex::new(CoState {
                 now: vec![0; cores],
                 finished: vec![false; cores],
-                turn: 0,
+                threads: vec![None; cores],
                 switch_log: None,
             }),
-            turns: Condvar::new(),
+            turn: AtomicUsize::new(0),
             quantum,
             run_ahead,
         })
     }
 
     /// The unfinished core that should run next: smallest `(now, id)`,
-    /// except the incumbent keeps the baton while within the quantum.
-    fn pick(&self, st: &CoState) -> usize {
+    /// except the incumbent `turn` keeps the baton while within the quantum.
+    fn pick(&self, st: &CoState, turn: usize) -> usize {
         let laggard = (0..st.now.len())
             .filter(|&i| !st.finished[i])
             .min_by_key(|&i| (st.now[i], i));
         let Some(laggard) = laggard else {
-            return st.turn;
+            return turn;
         };
-        if !st.finished[st.turn] && st.now[st.turn] <= st.now[laggard].saturating_add(self.quantum)
-        {
-            st.turn
+        if !st.finished[turn] && st.now[turn] <= st.now[laggard].saturating_add(self.quantum) {
+            turn
         } else {
             laggard
         }
     }
 
-    /// Blocks until core `id` holds the baton — except in run-ahead mode,
-    /// where cores start computing immediately and first synchronize at
-    /// their first memory-operation checkpoint. Each core's thread calls
-    /// this once, before executing any workload code.
-    pub fn start(&self, id: usize) {
-        if self.run_ahead {
-            return;
+    /// Parks until core `id` holds the baton. Park tokens cover an unpark
+    /// that lands before the park; the loop covers spurious wake-ups.
+    fn wait_turn(&self, id: usize) {
+        while self.turn.load(Ordering::Acquire) != id {
+            std::thread::park();
         }
-        let mut st = self.state.lock().expect("co-scheduler state");
-        while st.turn != id {
-            st = self.turns.wait(st).expect("co-scheduler state");
+    }
+
+    /// Passes the baton from `id` to `next`: logs the switch and moves
+    /// `turn` under the state lock, then drops the lock and wakes `next`.
+    /// A `next` that has not called [`CoScheduler::start`] yet has no
+    /// thread to wake; it finds its turn when it registers.
+    fn hand_off(&self, mut st: MutexGuard<'_, CoState>, id: usize, next: usize) {
+        let cycle = st.now[id];
+        if let Some(log) = st.switch_log.as_mut() {
+            log.push(QuantumSwitch {
+                cycle,
+                from: id as u32,
+                to: next as u32,
+            });
+        }
+        self.turn.store(next, Ordering::Release);
+        let waiter = st.threads[next].clone();
+        drop(st);
+        if let Some(t) = waiter {
+            t.unpark();
+        }
+    }
+
+    /// Registers the calling thread as core `id`'s and blocks until `id`
+    /// holds the baton — except in run-ahead mode, where cores start
+    /// computing immediately and first synchronize at their first
+    /// memory-operation checkpoint. Each core's thread calls this once,
+    /// before executing any workload code.
+    pub fn start(&self, id: usize) {
+        self.state.lock().expect("co-scheduler state").threads[id] = Some(std::thread::current());
+        if !self.run_ahead {
+            self.wait_turn(id);
         }
     }
 
@@ -166,54 +204,37 @@ impl CoScheduler {
     /// for the baton, so publishes still only happen while holding it —
     /// which is what keeps the two modes' decision sequences identical.
     pub fn checkpoint(&self, id: usize, now: u64) {
-        let mut st = self.state.lock().expect("co-scheduler state");
         if self.run_ahead {
-            while st.turn != id {
-                st = self.turns.wait(st).expect("co-scheduler state");
-            }
+            self.wait_turn(id);
         } else {
-            debug_assert_eq!(st.turn, id, "only the baton holder executes");
+            debug_assert_eq!(
+                self.turn.load(Ordering::Relaxed),
+                id,
+                "only the baton holder executes"
+            );
         }
+        let mut st = self.state.lock().expect("co-scheduler state");
         st.now[id] = st.now[id].max(now);
-        let next = self.pick(&st);
+        let next = self.pick(&st, id);
         if next != id {
-            let cycle = st.now[id];
-            if let Some(log) = st.switch_log.as_mut() {
-                log.push(QuantumSwitch {
-                    cycle,
-                    from: id as u32,
-                    to: next as u32,
-                });
-            }
-            st.turn = next;
-            self.turns.notify_all();
-            while st.turn != id {
-                st = self.turns.wait(st).expect("co-scheduler state");
-            }
+            self.hand_off(st, id, next);
+            self.wait_turn(id);
         }
     }
 
-    /// Marks core `id` finished (at emulated cycle `now`) and hands the
-    /// baton to the smallest-`now` remaining core.
+    /// Marks core `id` finished (at emulated cycle `now`) and, if it holds
+    /// the baton, hands it to the smallest-`now` remaining core.
     pub fn finish(&self, id: usize, now: u64) {
         let mut st = self.state.lock().expect("co-scheduler state");
         st.now[id] = st.now[id].max(now);
         st.finished[id] = true;
-        if st.turn == id {
-            let next = self.pick(&st);
-            if next != id {
-                let cycle = st.now[id];
-                if let Some(log) = st.switch_log.as_mut() {
-                    log.push(QuantumSwitch {
-                        cycle,
-                        from: id as u32,
-                        to: next as u32,
-                    });
-                }
-            }
-            st.turn = next;
+        if self.turn.load(Ordering::Relaxed) != id {
+            return;
         }
-        self.turns.notify_all();
+        let next = self.pick(&st, id);
+        if next != id {
+            self.hand_off(st, id, next);
+        }
     }
 
     /// Enables baton-handoff logging into a fixed-capacity overwrite-oldest
@@ -456,5 +477,129 @@ mod tests {
         sched.checkpoint(0, 100); // yields to core 1, returns when 1 passes 100
         sched.finish(0, 100);
         t.join().unwrap();
+    }
+
+    /// Per-core checkpoint cycles (non-decreasing, never empty) from a
+    /// splitmix64 stream.
+    fn seeded_schedules(seed: u64, cores: usize, len: usize) -> Vec<Vec<u64>> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..cores)
+            .map(|_| {
+                let mut now = 0;
+                (0..len)
+                    .map(|_| {
+                        now += next() % 120;
+                        now
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Single-threaded reference: only the baton holder ever acts, and it
+    /// checkpoints its next cycle or, with none left, finishes 7 cycles
+    /// after its last one.
+    fn reference_switches(lists: &[Vec<u64>], quantum: u64) -> Vec<QuantumSwitch> {
+        let n = lists.len();
+        let (mut now, mut pos, mut done) = (vec![0u64; n], vec![0usize; n], vec![false; n]);
+        let mut turn = 0;
+        let mut out = Vec::new();
+        while !done.iter().all(|&d| d) {
+            let i = turn;
+            match lists[i].get(pos[i]) {
+                Some(&c) => {
+                    now[i] = now[i].max(c);
+                    pos[i] += 1;
+                }
+                None => {
+                    now[i] = now[i].max(lists[i].last().unwrap() + 7);
+                    done[i] = true;
+                }
+            }
+            let laggard = (0..n).filter(|&j| !done[j]).min_by_key(|&j| (now[j], j));
+            let next = match laggard {
+                Some(l) if done[i] || now[i] > now[l] + quantum => l,
+                _ => i,
+            };
+            if next != i {
+                out.push(QuantumSwitch {
+                    cycle: now[i],
+                    from: i as u32,
+                    to: next as u32,
+                });
+                turn = next;
+            }
+        }
+        out
+    }
+
+    /// Core `id`'s thread body: every listed checkpoint, then finish 7
+    /// cycles after the last one (as in [`reference_switches`]).
+    fn drive(sched: &CoScheduler, id: usize, cycles: &[u64]) {
+        sched.start(id);
+        for &c in cycles {
+            sched.checkpoint(id, c);
+        }
+        sched.finish(id, cycles.last().unwrap() + 7);
+    }
+
+    fn threaded_switches(lists: &[Vec<u64>], quantum: u64, run_ahead: bool) -> Vec<QuantumSwitch> {
+        let sched = CoScheduler::with_run_ahead(lists.len(), quantum, run_ahead);
+        sched.enable_switch_log(1 << 16);
+        std::thread::scope(|scope| {
+            for (id, cycles) in lists.iter().enumerate() {
+                let sched = &sched;
+                scope.spawn(move || drive(sched, id, cycles));
+            }
+        });
+        let (switches, dropped) = sched.take_switches();
+        assert_eq!(dropped, 0, "the log holds every switch");
+        switches
+    }
+
+    #[test]
+    fn handoff_order_matches_reference_model() {
+        for seed in [1, 2, 3] {
+            let lists = seeded_schedules(seed, 3, 200);
+            for quantum in [0, 50] {
+                let want = reference_switches(&lists, quantum);
+                assert!(want.len() > 50, "the schedule hands off often");
+                for run_ahead in [false, true] {
+                    assert_eq!(
+                        threaded_switches(&lists, quantum, run_ahead),
+                        want,
+                        "seed {seed}, quantum {quantum}, run-ahead {run_ahead}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn baton_handed_to_a_core_that_has_not_started() {
+        let lists = vec![vec![100, 300], vec![50, 400]];
+        let want = reference_switches(&lists, 0);
+        for run_ahead in [false, true] {
+            let sched = CoScheduler::with_run_ahead(2, 0, run_ahead);
+            sched.enable_switch_log(16);
+            std::thread::scope(|scope| {
+                scope.spawn(|| drive(&sched, 0, &lists[0]));
+                // Core 1 has no thread yet, so core 0's first hand-off finds
+                // nobody registered to wake; core 1 must still see its turn.
+                while sched.turn.load(Ordering::Acquire) != 1 {
+                    std::thread::yield_now();
+                }
+                assert!(sched.state.lock().unwrap().threads[1].is_none());
+                scope.spawn(|| drive(&sched, 1, &lists[1]));
+            });
+            assert_eq!(sched.take_switches(), (want.clone(), 0));
+        }
     }
 }
